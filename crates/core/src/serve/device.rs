@@ -235,6 +235,17 @@ struct PlanTable {
     fast_lat: Vec<u64>,
     /// Cost slot of each plan position.
     slots: Vec<u32>,
+    /// The plan's layer period `P`: the smallest shift with `slots[i]
+    /// == slots[i + P]` over a body of at least two whole periods; 0
+    /// when the plan has no such body.
+    period: usize,
+    /// End of the periodic body `[0, body_end)`, a whole number of
+    /// periods. The token's tail (final norm, lm_head) lies past it.
+    body_end: usize,
+    /// Whether each plan position is the first op of a body layer
+    /// after the token's first — the points at which the replay loop
+    /// samples its state for [`CycleRing`].
+    layer_head: Vec<bool>,
     /// Latency per seq-invariant slot (indices `0..n_inv`).
     inv_lat: Vec<SimTime>,
     n_inv: usize,
@@ -313,13 +324,20 @@ impl PlanTable {
         for (d, count) in dep_counts.iter_mut().enumerate().take(n_dep) {
             *count = plan.slot_count(n_inv + d) as u64;
         }
+        let slots: Vec<u32> = (0..plan.len())
+            .map(|idx| plan.cost_slot(idx) as u32)
+            .collect();
+        let (period, body_end) = layer_period(&slots);
         PlanTable {
             class_slots: classes.iter().map(|c| slot(*c) as u8).collect(),
             fast_lat: Vec::new(),
             classes,
-            slots: (0..plan.len())
-                .map(|idx| plan.cost_slot(idx) as u32)
+            layer_head: (0..slots.len())
+                .map(|idx| idx > 0 && idx < body_end && idx % period == 0)
                 .collect(),
+            slots,
+            period,
+            body_end,
             inv_lat: vec![SimTime::ZERO; n_inv],
             n_inv,
             n_dep,
@@ -361,6 +379,27 @@ impl PlanTable {
             })
             .collect();
     }
+}
+
+/// The layer period of a plan's cost-slot sequence and the end of its
+/// periodic body: the smallest `p` for which `slots[i] == slots[i + p]`
+/// holds from position 0 on across at least two whole periods, and that
+/// run rounded down to whole periods. `(0, 0)` when no shift qualifies
+/// (a one-layer plan). Positions inside the body with equal residues
+/// mod `p` have the same cost slot, so the same class and latency.
+fn layer_period(slots: &[u32]) -> (usize, usize) {
+    for p in 1..=slots.len() / 2 {
+        let run = slots
+            .iter()
+            .zip(&slots[p..])
+            .take_while(|(a, b)| a == b)
+            .count();
+        let body_end = (run + p) / p * p;
+        if body_end >= 2 * p {
+            return (p, body_end);
+        }
+    }
+    (0, 0)
 }
 
 /// `fast_lat` values at or above this are seq-dependent-slot markers
@@ -776,6 +815,9 @@ struct Simulation<'a> {
     replay: bool,
     /// Fault-injection state; `None` when [`FaultMode::Off`].
     faults: Option<FaultRun>,
+    /// The replay loop's cycle detector, kept across replay stretches
+    /// for its buffers (its snapshots are cleared at every entry).
+    cycles: CycleRing,
 }
 
 /// Shared prefill-pricing state of one simulation run.
@@ -1173,6 +1215,10 @@ trait FastReady {
     /// stretch this licenses redispatching the completing member
     /// without touching the ready structure.
     const RETAINS_MIN: bool;
+    /// Whether pop order reads the members' last-scheduled stamps
+    /// (round-robin), so a cycle snapshot must key on them relative to
+    /// the dispatch stamp.
+    const RECENCY_KEYED: bool;
     /// Queues member `id` for resource `rs`. `src` is the resource
     /// whose completion triggered the enqueue and `key` the policy key
     /// at enqueue time (what the general loop's `ready_key` computes).
@@ -1187,6 +1233,11 @@ trait FastReady {
     /// Restores the member popped by [`FastReady::pop_sole`] after a
     /// declined solo-span attempt.
     fn requeue_sole(&mut self, rs: usize, key: u64, id: u32);
+    /// Appends the id of every queued member, on either resource.
+    fn queued(&self, out: &mut Vec<u32>);
+    /// Adds `by` to every queued key: the ready-set side of a cycle
+    /// skip, which shifts every member's last-scheduled stamp alike.
+    fn shift_keys(&mut self, by: u64);
 }
 
 /// FCFS ready-set for the replay loop: arrival keys are static, so the
@@ -1280,6 +1331,7 @@ impl FcfsReady {
 
 impl FastReady for FcfsReady {
     const RETAINS_MIN: bool = true;
+    const RECENCY_KEYED: bool = false;
 
     #[inline]
     fn enqueue(&mut self, rs: usize, _src: usize, _key: u64, id: u32) {
@@ -1309,6 +1361,21 @@ impl FastReady for FcfsReady {
     fn requeue_sole(&mut self, rs: usize, _key: u64, id: u32) {
         self.enqueue(rs, 0, 0, id);
     }
+
+    fn queued(&self, out: &mut Vec<u32>) {
+        for mask in &self.mask {
+            for (w, &word) in mask.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    out.push(self.order[w * 64 + word.trailing_zeros() as usize]);
+                    word &= word - 1;
+                }
+            }
+        }
+    }
+
+    /// Arrival keys are static: nothing to shift.
+    fn shift_keys(&mut self, _by: u64) {}
 }
 
 /// One ascending FIFO lane of the round-robin replay ready-set: a
@@ -1410,13 +1477,16 @@ impl RrReady {
 
     /// Pushes the still-queued members back into the heaps. Each entry
     /// keeps the key it was enqueued with — its last-scheduled stamp,
-    /// unchanged while queued — so heap keys match the general loop's.
-    fn finish(&mut self, ready: &mut RequestQueue) {
+    /// unchanged while queued (a cycle skip shifts both alike) — so heap
+    /// keys match the general loop's.
+    fn finish(&mut self, ready: &mut RequestQueue, requests: &RequestPool) {
         for rs in 0..2 {
             for lane in &mut self.lanes[rs] {
                 while lane.head < lane.tail {
                     let h = lane.head & lane.mask;
-                    ready.enqueue(rs, lane.key[h], lane.id[h] as usize);
+                    let id = lane.id[h] as usize;
+                    debug_assert_eq!(lane.key[h], requests.last_scheduled[id], "stale key");
+                    ready.enqueue(rs, lane.key[h], id);
                     lane.head += 1;
                 }
                 lane.front = u64::MAX;
@@ -1427,6 +1497,7 @@ impl RrReady {
 
 impl FastReady for RrReady {
     const RETAINS_MIN: bool = false;
+    const RECENCY_KEYED: bool = true;
 
     #[inline]
     fn enqueue(&mut self, rs: usize, src: usize, key: u64, id: u32) {
@@ -1464,6 +1535,24 @@ impl FastReady for RrReady {
     fn requeue_sole(&mut self, rs: usize, key: u64, id: u32) {
         debug_assert!(self.lanes[rs].iter().all(|l| l.front == u64::MAX));
         self.lanes[rs][0].push(key, id);
+    }
+
+    fn queued(&self, out: &mut Vec<u32>) {
+        for lane in self.lanes.iter().flatten() {
+            out.extend((lane.head..lane.tail).map(|i| lane.id[i & lane.mask]));
+        }
+    }
+
+    /// A uniform shift keeps every lane ascending.
+    fn shift_keys(&mut self, by: u64) {
+        for lane in self.lanes.iter_mut().flatten() {
+            for i in lane.head..lane.tail {
+                lane.key[i & lane.mask] += by;
+            }
+            if lane.head < lane.tail {
+                lane.front += by;
+            }
+        }
     }
 }
 
@@ -1523,6 +1612,256 @@ fn replay_eligible(
     true
 }
 
+/// Snapshots [`CycleRing`] matches against: enough for a cycle spanning
+/// dozens of pilot layers (a few members drifting against each other).
+const CYCLE_RING: usize = 64;
+
+/// [`CycleRing::pilot`] right after a clear: the next member to start a
+/// body layer becomes the pilot.
+const PILOT_ANY: u32 = u32::MAX;
+
+/// [`CycleRing::pilot`] once a match was found (skipped or not): no
+/// member samples until the next boundary clears the ring.
+const PILOT_NONE: u32 = u32::MAX - 1;
+
+/// The replay loop's hot scalars, copied out for a cycle check and
+/// back after a skip.
+#[derive(Debug, Clone, Copy)]
+struct ReplayClock {
+    now: u64,
+    ev_stamp: u64,
+    d_stamp: u64,
+    s_at: [u64; 2],
+    s_st: [u64; 2],
+    s_id: [u32; 2],
+}
+
+/// Cycle detection for [`run_interleaved`]: while no member crosses a
+/// token boundary, the two-resource schedule repeats layer after layer
+/// (invariant prices depend only on the position in the layer,
+/// attention prices are fixed per member for the whole token). Each
+/// time the **pilot** member starts a body layer the loop records its
+/// state relative to the clock and stamps: every in-flight slot as
+/// `(end - now, ev_stamp - stamp, member)` and every live member as
+/// `(cursor mod P, fault time pending)` plus, under round-robin, its
+/// recency key `d_stamp - last_scheduled`. Two equal snapshots mean
+/// the schedule between them repeats, shifted, for as long as every
+/// advancing member stays inside the plan's body and no arrival is
+/// due — so whole periods are skipped in `O(members)` by shifting the
+/// clock, stamps, cursors, keys and busy trackers.
+///
+/// The ring holds snapshots of the current stretch only: every
+/// boundary arm (token retire, shed, completion, respawn, solo-span
+/// handoff) clears it, and so does every entry to the replay loop.
+#[derive(Debug)]
+struct CycleRing {
+    /// Live members of the stretch, ascending id — rebuilt at the first
+    /// snapshot after a clear (empty until then).
+    members: Vec<u32>,
+    /// Up to `CYCLE_RING` slots of `stride` words: the compared key,
+    /// then the absolute values the deltas are taken from. Grown only as
+    /// far as snapshots are recorded; most stretches match within a few.
+    ring: Vec<u64>,
+    key_len: usize,
+    stride: usize,
+    /// Snapshots recorded since the last clear.
+    len: usize,
+    /// The member whose layer starts are sampled, or [`PILOT_ANY`] /
+    /// [`PILOT_NONE`]. One pilot keeps sampling at `O(1)` snapshots
+    /// per pilot layer: equal states recur at its layer heads exactly
+    /// when they recur at all.
+    pilot: u32,
+    /// Every skip of the run as `(clock at the match, period length,
+    /// periods skipped, dispatches per period)`: tests pin the elided
+    /// work and aim arrivals at exact period ends. Kept out of the
+    /// report, which must not depend on the span mode.
+    #[cfg(test)]
+    log: Vec<(u64, u64, u64, u64)>,
+}
+
+/// Snapshot words before the per-member key: `(rel end, rel stamp, id)`
+/// per resource slot.
+const SNAP_HEAD: usize = 6;
+/// Absolute words before the per-member cursors: clock, event stamp,
+/// dispatch stamp, then `(busy, intervals, last_end)` per resource.
+const SNAP_ABS_HEAD: usize = 9;
+
+impl CycleRing {
+    fn new() -> Self {
+        CycleRing {
+            members: Vec::new(),
+            ring: Vec::new(),
+            key_len: 0,
+            stride: 0,
+            len: 0,
+            pilot: PILOT_ANY,
+            #[cfg(test)]
+            log: Vec::new(),
+        }
+    }
+
+    /// Forgets every snapshot: the stretch ended at a boundary.
+    #[inline]
+    fn clear(&mut self) {
+        self.members.clear();
+        self.len = 0;
+        self.pilot = PILOT_ANY;
+    }
+
+    /// Whether member `id` starting a layer should be sampled.
+    #[inline]
+    fn samples(&self, id: u32) -> bool {
+        self.pilot == id || self.pilot == PILOT_ANY
+    }
+
+    /// Records the state after member `pilot` started a body layer and
+    /// looks for an earlier equal snapshot. On a match, skips as many
+    /// whole periods as the bounds allow, shifting `clock`, the
+    /// members, the ready set and the busy trackers in place, and
+    /// returns whether it skipped. The lazy busy runs must be flushed.
+    #[allow(clippy::too_many_arguments)]
+    fn observe<Q: FastReady>(
+        &mut self,
+        pilot: u32,
+        clock: &mut ReplayClock,
+        next_arrival: u64,
+        q: &mut Q,
+        table: &PlanTable,
+        requests: &mut RequestPool,
+        busy_track: &mut [BusyTracker; 2],
+    ) -> bool {
+        // Key words per member: `cursor mod P | fault pending << 32`,
+        // then the recency key under round-robin.
+        let kw = 1 + usize::from(Q::RECENCY_KEYED);
+        if self.members.is_empty() {
+            for rs in 0..2 {
+                if clock.s_at[rs] != u64::MAX {
+                    self.members.push(clock.s_id[rs]);
+                }
+            }
+            q.queued(&mut self.members);
+            self.members.sort_unstable();
+            let m = self.members.len();
+            self.key_len = SNAP_HEAD + kw * m;
+            self.stride = self.key_len + SNAP_ABS_HEAD + m;
+        }
+        self.pilot = pilot;
+        let (stride, key_len) = (self.stride, self.key_len);
+        let cur = self.len % CYCLE_RING;
+        if self.ring.len() < (cur + 1) * stride {
+            self.ring.resize((cur + 1) * stride, 0);
+        }
+        let snap = &mut self.ring[cur * stride..(cur + 1) * stride];
+        for rs in 0..2 {
+            let w = &mut snap[3 * rs..3 * rs + 3];
+            if clock.s_at[rs] == u64::MAX {
+                w.fill(u64::MAX);
+            } else {
+                w[0] = clock.s_at[rs] - clock.now;
+                w[1] = clock.ev_stamp - clock.s_st[rs];
+                w[2] = u64::from(clock.s_id[rs]);
+            }
+        }
+        let abs = key_len;
+        snap[abs] = clock.now;
+        snap[abs + 1] = clock.ev_stamp;
+        snap[abs + 2] = clock.d_stamp;
+        for (rs, t) in busy_track.iter().enumerate() {
+            snap[abs + 3 + 3 * rs] = t.busy_time().as_picos();
+            snap[abs + 4 + 3 * rs] = t.interval_count();
+            snap[abs + 5 + 3 * rs] = t.last_end().as_picos();
+        }
+        for (j, &id) in self.members.iter().enumerate() {
+            let id = id as usize;
+            let idx = requests.cursor[id].index();
+            snap[SNAP_HEAD + kw * j] =
+                (idx % table.period) as u64 | u64::from(requests.fault_extra[id] == 0) << 32;
+            if Q::RECENCY_KEYED {
+                snap[SNAP_HEAD + kw * j + 1] = clock.d_stamp - requests.last_scheduled[id];
+            }
+            snap[abs + SNAP_ABS_HEAD + j] = idx as u64;
+        }
+        // Newest earlier snapshot with an equal key: the shortest period.
+        let earlier = (1..self.len.min(CYCLE_RING))
+            .map(|back| (self.len - back) % CYCLE_RING)
+            .find(|&e| {
+                self.ring[e * stride..e * stride + key_len]
+                    == self.ring[cur * stride..cur * stride + key_len]
+            });
+        self.len += 1;
+        let Some(e) = earlier else {
+            return false;
+        };
+        // One match per stretch: the skip (or the bound that forbade
+        // it) holds until the next boundary changes the state.
+        self.pilot = PILOT_NONE;
+        let a = &self.ring[e * stride + key_len..(e + 1) * stride];
+        let b = &self.ring[cur * stride + key_len..(cur + 1) * stride];
+        let dt = b[0] - a[0];
+        // Whole periods the bounds admit: the last skipped event lands
+        // strictly before the next arrival, and every advancing
+        // member's cursor stays inside the body.
+        let mut k = if next_arrival == u64::MAX {
+            u64::MAX
+        } else {
+            next_arrival.saturating_sub(b[0] + 1) / dt.max(1)
+        };
+        let mut advancing = false;
+        for j in 0..self.members.len() {
+            let (ca, cb) = (a[SNAP_ABS_HEAD + j], b[SNAP_ABS_HEAD + j]);
+            if cb > ca {
+                advancing = true;
+                let room = (table.body_end as u64).saturating_sub(cb + 1);
+                k = k.min(room / (cb - ca));
+            }
+        }
+        if dt == 0 || !advancing || k == 0 {
+            return false;
+        }
+        let (dev, dd) = (b[1] - a[1], b[2] - a[2]);
+        #[cfg(test)]
+        self.log.push((clock.now, dt, k, dd));
+        clock.now += k * dt;
+        clock.ev_stamp += k * dev;
+        clock.d_stamp += k * dd;
+        for rs in 0..2 {
+            if clock.s_at[rs] != u64::MAX {
+                clock.s_at[rs] += k * dt;
+                clock.s_st[rs] += k * dev;
+            }
+        }
+        for (rs, t) in busy_track.iter_mut().enumerate() {
+            let dn = b[4 + 3 * rs] - a[4 + 3 * rs];
+            if dn > 0 {
+                // The period's last booking on `rs` recurs shifted by
+                // `dt`, so `last_end` moves by `k * dt`; the busy time
+                // and interval count grow by `k` periods' worth.
+                let dbusy = b[3 + 3 * rs] - a[3 + 3 * rs];
+                let end = b[5 + 3 * rs] + k * dt;
+                t.add_contiguous(
+                    SimTime::from_picos(end - k * dbusy),
+                    SimTime::from_picos(end),
+                    k * dn,
+                );
+            }
+        }
+        // A member dispatched in the period exactly when its cursor
+        // advanced (one in flight at both snapshots with equal relative
+        // end would be a different op, so it completed one): those and
+        // only those recur, and their last dispatch stamps shift.
+        for (j, &id) in self.members.iter().enumerate() {
+            let id = id as usize;
+            let (ca, cb) = (a[SNAP_ABS_HEAD + j], b[SNAP_ABS_HEAD + j]);
+            if cb > ca {
+                requests.cursor[id].seek((cb + k * (cb - ca)) as usize);
+                requests.last_scheduled[id] += k * dd;
+            }
+        }
+        q.shift_keys(k * dd);
+        true
+    }
+}
+
 /// The interleaved replay loop: executes the multi-request steady
 /// state — every live request decoding, arrivals quiescent — as a
 /// faithful specialized replica of the general event loop, firing op
@@ -1541,9 +1880,14 @@ fn replay_eligible(
 /// clock back. Token boundaries, deadline sheds, completions,
 /// closed-loop respawns and solo-span handoffs are all handled inline
 /// through the same shared helpers the general loop calls.
+///
+/// Between boundaries the schedule repeats layer after layer; a
+/// [`CycleRing`] sampled at the pilot member's layer starts detects the
+/// repetition and skips whole periods in `O(members)`.
 #[allow(clippy::too_many_arguments)]
 fn run_interleaved<Q: FastReady>(
     q: &mut Q,
+    cycles: &mut CycleRing,
     mut rlen: [usize; 2],
     system: &mut System,
     plan: &TokenPlan,
@@ -1590,6 +1934,12 @@ fn run_interleaved<Q: FastReady>(
             .map_or((u64::MAX, u64::MAX), |&Reverse((at, st, _))| (at, st))
     };
     let mut next_arr = peek_arrival(ev);
+    // Cycle skipping: `head_of` names the pilot member whose completion
+    // just started a body layer (`u32::MAX`: none this event), sampled
+    // once the event's dispatches are done. Snapshots never outlive
+    // the call.
+    cycles.clear();
+    let mut head_of = u32::MAX;
 
     // Lazy busy booking: dispatches that chain gaplessly on a resource
     // (its start equals the previous dispatch's end — always true on a
@@ -1679,6 +2029,7 @@ fn run_interleaved<Q: FastReady>(
             let s = $s;
             let id32 = $id32;
             let id = $id;
+            cycles.clear();
             retire_token(requests, id, now, token_latencies);
             let shed = faults
                 .as_mut()
@@ -1790,6 +2141,9 @@ fn run_interleaved<Q: FastReady>(
             requests.cursor[id].advance();
             let idx = requests.cursor[id].index();
             if idx < n_ops {
+                if table.layer_head[idx] && cycles.samples(id32) {
+                    head_of = id32;
+                }
                 let rs2 = table.class_slots[idx] as usize;
                 if rs2 == S {
                     if rlen[S] == 0 {
@@ -1888,6 +2242,29 @@ fn run_interleaved<Q: FastReady>(
         } else {
             step!(1);
         }
+        if head_of != u32::MAX {
+            cold_mark();
+            let pilot = std::mem::replace(&mut head_of, u32::MAX);
+            flush_busy!(0);
+            flush_busy!(1);
+            let mut clock = ReplayClock {
+                now: now.as_picos(),
+                ev_stamp,
+                d_stamp,
+                s_at,
+                s_st,
+                s_id,
+            };
+            if cycles.observe(
+                pilot, &mut clock, next_arr.0, q, table, requests, busy_track,
+            ) {
+                now = SimTime::from_picos(clock.now);
+                ev_stamp = clock.ev_stamp;
+                d_stamp = clock.d_stamp;
+                s_at = clock.s_at;
+                s_st = clock.s_st;
+            }
+        }
     }
     // Write the mirrors back; the general loop resumes at its `pop`.
     flush_busy!(0);
@@ -1940,6 +2317,7 @@ impl<'a> Simulation<'a> {
             },
             replay: matches!(engine.span, SpanMode::Coalesced { .. }),
             faults,
+            cycles: CycleRing::new(),
         };
         if let Some(f) = &sim.faults {
             // simlint: allow(D1) — fault root seeded from the config's own seed; per-request streams fork() from it
@@ -1951,12 +2329,17 @@ impl<'a> Simulation<'a> {
         sim
     }
 
+    fn run(mut self) -> (ServeReport, System) {
+        self.drive();
+        self.finish()
+    }
+
     /// The event loop. One deliberately monolithic block: this is the
     /// hottest code in the repo (one iteration per simulated op), and
     /// destructuring `self` keeps the table/queue/request base pointers
     /// in registers across iterations instead of re-loading them
     /// through `self` in every helper call.
-    fn run(mut self) -> (ServeReport, System) {
+    fn drive(&mut self) {
         let policy = self.policy;
         {
             let Simulation {
@@ -1981,8 +2364,9 @@ impl<'a> Simulation<'a> {
                 span_cap,
                 replay,
                 faults,
+                cycles,
                 ..
-            } = &mut self;
+            } = self;
             let plan: &TokenPlan = plan;
             let n_ops = table.classes.len();
             // The interleaved replay structures, standing by whenever
@@ -2279,6 +2663,7 @@ impl<'a> Simulation<'a> {
                                 let queued = q.begin(ready, ev, requests);
                                 run_interleaved(
                                     q,
+                                    cycles,
                                     queued,
                                     system,
                                     plan,
@@ -2302,6 +2687,7 @@ impl<'a> Simulation<'a> {
                                 let queued = q.begin(ready);
                                 run_interleaved(
                                     q,
+                                    cycles,
                                     queued,
                                     system,
                                     plan,
@@ -2319,15 +2705,13 @@ impl<'a> Simulation<'a> {
                                     *span_cap,
                                     faults,
                                 );
-                                q.finish(ready);
+                                q.finish(ready, requests);
                             }
                         }
                     }
                 }
             }
         }
-
-        self.finish()
     }
 
     fn finish(self) -> (ServeReport, System) {
@@ -3299,5 +3683,113 @@ impl<'a> BatchedSimulation<'a> {
             done: self.done,
         });
         (report, self.system)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use llm_workload::{zoo, Quant, RequestArrival};
+
+    /// Runs `trace` to completion and returns the report plus the
+    /// run's cycle-skip log.
+    fn run_logged(
+        engine: &DeviceEngine,
+        trace: &ArrivalTrace,
+        policy: SchedulePolicy,
+    ) -> (ServeReport, Vec<(u64, u64, u64, u64)>) {
+        let mut sim = Simulation::new(engine, trace, policy, System::new(engine.cfg));
+        sim.drive();
+        let log = std::mem::take(&mut sim.cycles.log);
+        (sim.finish().0, log)
+    }
+
+    fn skipped_ops(log: &[(u64, u64, u64, u64)]) -> u64 {
+        log.iter().map(|&(_, _, k, dd)| k * dd).sum()
+    }
+
+    #[test]
+    fn layer_period_covers_whole_layers_only() {
+        let table = PlanTable::new(&TokenPlan::new(&zoo::llama2_70b(), Quant::W8A8));
+        assert_eq!((table.period, table.body_end), (15, 80 * 15));
+        assert_eq!(table.slots.len(), 80 * 15 + 2, "final norm + lm_head tail");
+        let one_layer = ModelSpec {
+            layers: 1,
+            ..zoo::opt_6_7b()
+        };
+        let table = PlanTable::new(&TokenPlan::new(&one_layer, Quant::W8A8));
+        assert_eq!((table.period, table.body_end), (0, 0));
+        assert!(!table.layer_head.contains(&true));
+    }
+
+    #[test]
+    fn cycle_skipping_elides_a_pinned_share_of_the_overload() {
+        // The 16-client Llama2-70B overload on Cambricon-LLM-L, shortened
+        // to 8 tokens a request. The counts are deterministic: a change
+        // is a behaviour change of the detector (reports cannot show it,
+        // they are equal in every span mode).
+        let cfg = SystemConfig::cambricon_l();
+        let trace = ArrivalTrace::closed_loop(16, 1, RequestShape::new(1000, 8));
+        let ops = 16 * 8 * TokenPlan::new(&zoo::llama2_70b(), cfg.quant).len() as u64;
+        for (policy, pinned) in [
+            (SchedulePolicy::Fcfs, 121_740),
+            (SchedulePolicy::RoundRobin, 144_720),
+        ] {
+            let coalesced = DeviceEngine::new(cfg, zoo::llama2_70b());
+            let (report, log) = run_logged(&coalesced, &trace, policy);
+            let per_op = coalesced.with_span_mode(SpanMode::PerOp);
+            let (reference, none) = run_logged(&per_op, &trace, policy);
+            assert_eq!(report, reference, "{policy:?}");
+            assert!(none.is_empty(), "{policy:?}: the per-op loop never skips");
+            assert_eq!(skipped_ops(&log), pinned, "{policy:?} of {ops} ops");
+        }
+    }
+
+    #[test]
+    fn an_arrival_exactly_at_a_period_end_cuts_the_skip_there() {
+        // A skip may only cover periods whose last event fires strictly
+        // before the next arrival. Aim an extra arrival at the exact end
+        // of the first skip's j-th period: the skip must stop one period
+        // short of it (the arrival precedes that period's last event),
+        // one picosecond later it may reach it, and either way the run
+        // equals the per-op reference.
+        let cfg = SystemConfig::cambricon_s();
+        let model = zoo::opt_6_7b();
+        let base: Vec<RequestArrival> = [120usize, 480, 900]
+            .iter()
+            .map(|&prompt| RequestArrival {
+                at: SimTime::ZERO,
+                shape: RequestShape::new(prompt, 3),
+            })
+            .collect();
+        for policy in [SchedulePolicy::Fcfs, SchedulePolicy::RoundRobin] {
+            let engine = DeviceEngine::new(cfg, model.clone());
+            let (_, log) = run_logged(&engine, &ArrivalTrace::Open(base.clone()), policy);
+            let (t, dt, k, dd) = log[0];
+            assert!(k >= 2, "{policy:?}: first skip too short to cut ({k})");
+            for j in [1, k / 2, k] {
+                let end = t + j * dt;
+                for (at, periods) in [(end, j - 1), (end + 1, j)] {
+                    let mut arrivals = base.clone();
+                    arrivals.push(RequestArrival {
+                        at: SimTime::from_picos(at),
+                        shape: RequestShape::new(200, 2),
+                    });
+                    let trace = ArrivalTrace::Open(arrivals);
+                    let (report, cut) = run_logged(&engine, &trace, policy);
+                    let per_op = DeviceEngine::new(cfg, model.clone())
+                        .with_span_mode(SpanMode::PerOp)
+                        .run(&trace, policy);
+                    assert_eq!(report, per_op, "{policy:?} arrival at {at}");
+                    let first = cut.first().filter(|e| e.0 == t);
+                    assert_eq!(
+                        first.map_or(0, |e| e.2),
+                        periods,
+                        "{policy:?} arrival at {at}"
+                    );
+                    assert!(first.map_or(true, |e| (e.1, e.3) == (dt, dd)));
+                }
+            }
+        }
     }
 }

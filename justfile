@@ -30,6 +30,13 @@ bench:
 perf:
     cargo run --release -p bench --bin serve_throughput -- --profile --faults 365 --fleet 4
 
+# The repository benchmark (BENCHMARK.json): one timed run of a named
+# workload (`device_overload` or `fleet_open`), or the traced per-layer
+# ledger with `trace=1`. The last stdout line is the JSON result; its
+# `"failed"` count must be 0.
+perfbench workload="device_overload" seconds="10" trace="0" seed="1":
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace {{trace}}
+
 # Regenerate every paper table/figure ("full" for full-resolution sweeps).
 repro target="all":
     cargo run --release -p bench --bin repro -- {{target}}

@@ -287,6 +287,142 @@ fn admission_boundary_exactly_under_overlapping_decodes_is_bit_exact() {
     }
 }
 
+/// Runs `trace` under FCFS and round-robin on the per-op reference and
+/// on every span mode (each one replays, and so cycle-skips, whenever
+/// decodes overlap), asserting whole-report equality.
+fn assert_replay_exact(
+    cfg: SystemConfig,
+    model: &llm_workload::ModelSpec,
+    trace: &ArrivalTrace,
+    faulty: bool,
+    label: &str,
+) {
+    let mk = |mode| {
+        let engine = ServeEngine::new(cfg, model.clone()).with_span_mode(mode);
+        if faulty {
+            engine.with_faults(FaultMode::Injected(FaultConfig::aged(FlashAge::worn_out())))
+        } else {
+            engine
+        }
+    };
+    for policy in [SchedulePolicy::Fcfs, SchedulePolicy::RoundRobin] {
+        let reference = mk(SpanMode::PerOp).run(trace, policy);
+        for mode in SPAN_MODES {
+            let replayed = mk(mode).run(trace, policy);
+            assert_eq!(reference, replayed, "{label}: {policy:?} {mode:?}");
+        }
+    }
+}
+
+/// Simultaneous arrivals at four different sequence positions: every
+/// member prices attention differently, so the layer cycle's per-member
+/// op latencies differ.
+fn staggered_prompts(tokens: usize) -> ArrivalTrace {
+    ArrivalTrace::Open(
+        [120usize, 480, 900, 1500]
+            .iter()
+            .map(|&prompt| RequestArrival {
+                at: SimTime::ZERO,
+                shape: RequestShape::new(prompt, tokens),
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn cycle_skipping_is_bit_exact_with_staggered_sequence_positions() {
+    let cfg = SystemConfig::cambricon_s();
+    for model in [zoo::opt_6_7b(), zoo::llama2_7b()] {
+        assert_replay_exact(cfg, &model, &staggered_prompts(5), false, model.name);
+    }
+}
+
+#[test]
+fn cycle_skipping_is_bit_exact_with_arrivals_inside_steady_stretches() {
+    // Probe a per-op run for the first token boundary, then drop extra
+    // arrivals at interior instants of the steady stretches before and
+    // after it: each one cuts a skip short at a different phase of the
+    // layer cycle (the arrival bound), and the newcomer reshapes the
+    // cycle the next stretch detects.
+    let cfg = SystemConfig::cambricon_s();
+    let model = zoo::opt_6_7b();
+    let base = staggered_prompts(4);
+    let probe = ServeEngine::new(cfg, model.clone())
+        .with_span_mode(SpanMode::PerOp)
+        .run(&base, SchedulePolicy::RoundRobin);
+    let first = probe
+        .requests
+        .iter()
+        .map(|r| r.first_token_at)
+        .min()
+        .expect("probe served requests")
+        .as_picos();
+    let ArrivalTrace::Open(arrivals) = &base else {
+        unreachable!("staggered prompts are an open trace")
+    };
+    for (num, den) in [(1u64, 3u64), (1, 2), (5, 7), (4, 3), (9, 5)] {
+        let mut trace = arrivals.clone();
+        trace.push(RequestArrival {
+            at: SimTime::from_picos(first * num / den + 1),
+            shape: RequestShape::new(250, 3),
+        });
+        assert_replay_exact(
+            cfg,
+            &model,
+            &ArrivalTrace::Open(trace),
+            false,
+            &format!("arrival at {num}/{den} of the first token"),
+        );
+    }
+}
+
+#[test]
+fn cycle_skipping_is_bit_exact_under_interleaved_fault_injection() {
+    // Worn-out flash: every token draws reread time onto its first
+    // flash op, so members sit in the ready set with a fault pending
+    // while the others cycle.
+    let cfg = SystemConfig::cambricon_s();
+    let model = zoo::opt_6_7b();
+    assert_replay_exact(cfg, &model, &staggered_prompts(4), true, "staggered");
+    let trace = ArrivalTrace::closed_loop(3, 2, RequestShape::new(300, 4));
+    assert_replay_exact(cfg, &model, &trace, true, "closed loop");
+}
+
+#[test]
+fn cycle_skipping_is_bit_exact_across_the_70b_token_tail() {
+    // Llama2-70B: 80 layers per token, so skips run deep into the body
+    // and every token crosses the final norm, the lm_head tail and the
+    // next token's head with members at different layers.
+    let cfg = SystemConfig::cambricon_l();
+    let model = zoo::llama2_70b();
+    for clients in [2usize, 3] {
+        let trace = ArrivalTrace::closed_loop(clients, 1, RequestShape::new(1000, 3));
+        assert_replay_exact(cfg, &model, &trace, false, &format!("{clients} clients"));
+    }
+}
+
+#[test]
+fn tiny_models_without_a_skippable_body_stay_bit_exact() {
+    // One- and two-layer plans: the body holds at most two periods, so
+    // no skip can keep an advancing member inside it and the replay
+    // runs op by op.
+    for layers in [1usize, 2] {
+        let model = llm_workload::ModelSpec {
+            name: "tiny",
+            layers,
+            ..zoo::opt_6_7b()
+        };
+        let trace = ArrivalTrace::closed_loop(3, 2, RequestShape::new(64, 4));
+        assert_replay_exact(
+            SystemConfig::cambricon_s(),
+            &model,
+            &trace,
+            false,
+            &format!("{layers} layers"),
+        );
+    }
+}
+
 #[test]
 fn span_cap_of_zero_tokens_panics_at_configuration() {
     let result = std::panic::catch_unwind(|| {
